@@ -2,9 +2,12 @@
 
 Usage: ``python3 perfbench/child.py '<json request>'``, where the
 request is ``{"mode": "replay"|"diagnose", "trace_dir", "n_ranks",
-"reps"}``.  Prints one JSON line: the wall time and result of each
-repetition, the machine-speed probe times taken before each repetition
-and after the last, and the process's peak resident set size.
+"seconds", "min_reps"}``.  Repeats the operation until ``seconds`` have
+passed and at least ``min_reps`` repetitions are done, timing the
+machine-speed probe before the first repetition and after each one.
+Prints one JSON line: each repetition's wall time, result and the two
+probe times around it, the errors of failed repetitions, and the
+process's peak resident set size.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import resource
 import sys
 import time
 
@@ -25,6 +27,7 @@ from repro.core.trace import read_trace_dir  # noqa: E402
 from repro.smpi import round_robin_deployment  # noqa: E402
 
 from inputs import replay_platform  # noqa: E402
+from rss import peak_rss_mib  # noqa: E402
 from speed import probe  # noqa: E402
 
 
@@ -56,21 +59,23 @@ def diagnose_once(trace_dir: str, n_ranks: int):
 
 def main(request: dict) -> dict:
     once = {"replay": replay_once, "diagnose": diagnose_once}[request["mode"]]
-    walls, results, errors, probes = [], [], [], []
-    for _ in range(int(request["reps"])):
-        probes.append(probe())
+    reps, errors = [], []
+    deadline = time.perf_counter() + float(request["seconds"])
+    before = probe()
+    while (len(reps) + len(errors) < int(request["min_reps"])
+           or time.perf_counter() < deadline):
         gc.collect()
         try:
             wall, result = once(request["trace_dir"], int(request["n_ranks"]))
         except Exception as exc:  # noqa: BLE001 - counted by the gate
             errors.append(f"{type(exc).__name__}: {exc}")
+            before = probe()
             continue
-        walls.append(wall)
-        results.append(result)
-    probes.append(probe())
-    maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"walls": walls, "results": results, "errors": errors,
-            "probes": probes, "peak_rss_mib": maxrss_kib / 1024.0}
+        after = probe()
+        reps.append({"wall": wall, "result": result,
+                     "probes": [before, after]})
+        before = after
+    return {"reps": reps, "errors": errors, "peak_rss_mib": peak_rss_mib()}
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload lu2d-contention --seed 1 \\
-        --seconds 15 --trace 0
+        --seconds 10 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off;
 ``--trace 1`` takes a traced run and reports the per-layer metrics.
@@ -63,6 +63,21 @@ def fingerprint() -> dict:
             "git_commit": git_commit(ROOT)}
 
 
+def complete(metrics: dict, declared: dict, zero_fill: bool) -> dict:
+    """``metrics`` holding exactly the ``declared`` ones.  With
+    ``zero_fill`` (per-layer metrics), a layer the workload does not run
+    reads 0; any other gap is a bug of the benchmark."""
+    unknown = sorted(set(metrics) - set(declared))
+    missing = sorted(set(declared) - set(metrics))
+    units = sorted(name for name, (_, unit) in metrics.items()
+                   if declared.get(name, unit) != unit)
+    if unknown or units or (missing and not zero_fill):
+        raise RuntimeError(f"metrics not as declared: unknown {unknown}, "
+                           f"missing {missing}, other unit {units}")
+    return {name: metrics.get(name, (0, unit))
+            for name, unit in declared.items()}
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
@@ -83,7 +98,8 @@ def main(argv=None) -> int:
     from gate import Gate
     from spans import Tracer
     from speed import REFERENCE_S
-    from workloads import WORKLOADS, Context, run_workload
+    from workloads import (END_TO_END, PER_LAYER, WORKLOADS, Context,
+                           run_workload)
 
     if args.workload not in WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; choose from "
@@ -101,7 +117,9 @@ def main(argv=None) -> int:
                   cache_dir=os.path.join(WORK, "cache"), gate=Gate(),
                   tracer=Tracer(args.workload))
     try:
-        metrics = run_workload(ctx)
+        metrics = complete(run_workload(ctx),
+                           PER_LAYER if args.trace else END_TO_END,
+                           zero_fill=bool(args.trace))
     finally:
         tempfile.tempdir = None
         shutil.rmtree(run_dir, ignore_errors=True)
@@ -120,20 +138,19 @@ def main(argv=None) -> int:
         print(f"FAILED {problem}", file=sys.stderr)
     print(f"fail_ratio {gate.failed}/{gate.attempted} = "
           f"{gate.failed / max(1, gate.attempted):.6g}")
-    if ctx.normalized:
-        factor = ctx.speed_factor()
-        print(f"machine speed: probe median {REFERENCE_S / factor:.6g} s "
-              f"min {min(ctx.probes):.6g} s over {len(ctx.probes)} probes; "
-              f"host times x {factor:.6g} = reference seconds")
-        for name in ctx.normalized:
-            metrics[name] = (metrics[name][0] * factor, "s")
+    if ctx.probes:
+        print(f"machine speed: probe median {statistics.median(ctx.probes):.6g}"
+              f" s, min {min(ctx.probes):.6g} s over {len(ctx.probes)} probe "
+              f"times; reference probe {REFERENCE_S} s")
     for name, (value, unit) in sorted(metrics.items()):
-        samples = ctx.samples.get(name)
-        host = " host" if name in ctx.normalized else ""
-        spread = (f"  (median of {len(samples)}{host}: "
-                  f"{statistics.median(samples):.6g}, min {min(samples):.6g},"
-                  f" max {max(samples):.6g})" if samples else "")
-        print(f"{name} {value!r} {unit}{spread}")
+        line = f"{name} {value!r} {unit}"
+        for label, values in (("samples", ctx.samples.get(name)),
+                              ("host seconds", ctx.host.get(name))):
+            if values:
+                line += (f"  ({label}: {len(values)}, median "
+                         f"{statistics.median(values):.6g}, min "
+                         f"{min(values):.6g}, max {max(values):.6g})")
+        print(line)
     print(json.dumps({
         "correct": gate.failed == 0,
         "attempted": gate.attempted,

@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.service.client import ServiceClient, ServiceError
 
+from rss import peak_rss_mib
+
 POLL_S = 0.01
 
 
@@ -78,6 +80,10 @@ class LocalService:
             raise
         doc["events"] = events
         return doc, self.client.results(job_id)
+
+    def peak_rss_mib(self) -> float:
+        """Peak resident set size of the server process so far."""
+        return peak_rss_mib(self.proc.pid)
 
     def stop(self) -> List[str]:
         """SIGTERM the server and wait; returns leaked-process problems.

@@ -21,7 +21,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), BENCH]
 from gate import Gate, compare_replay  # noqa: E402
 from inputs import replay_platform, write_lu_trace  # noqa: E402
 from spans import Tracer, self_times  # noqa: E402
-from workloads import WORKLOADS, oracle_replay  # noqa: E402
+from workloads import (END_TO_END, PER_LAYER, WORKLOADS,  # noqa: E402
+                       oracle_replay)
 
 from repro.core.replay import TraceReplayer  # noqa: E402
 from repro.simkernel import Platform  # noqa: E402
@@ -83,6 +84,12 @@ def test_benchmark_names_and_units_are_well_formed():
     assert all(m["bound"] <= 0.25 for m in bench["end_to_end"])
 
 
+def test_declared_metrics_match_the_manifest():
+    bench = load_benchmark()
+    assert {m["name"]: m["unit"] for m in bench["end_to_end"]} == END_TO_END
+    assert {m["name"]: m["unit"] for m in bench["per_layer"]} == PER_LAYER
+
+
 # -- correctness gate --------------------------------------------------------
 def _perturbed_platform(n_ranks: int) -> Platform:
     platform = Platform()
@@ -135,9 +142,11 @@ def test_smoke_mode_runs_every_workload(workload, trace):
     bench = load_benchmark()
     declared = {m["name"]: m["unit"]
                 for m in bench["per_layer" if trace else "end_to_end"]}
-    assert result["metrics"]
-    for name, metric in result["metrics"].items():
-        assert declared.get(name) == metric["unit"], name
+    assert {name: metric["unit"] for name, metric
+            in result["metrics"].items()} == declared
+    if not trace:
+        assert all(metric["value"] > 0
+                   for metric in result["metrics"].values())
 
 
 def test_fails_without_the_program_sources(tmp_path):

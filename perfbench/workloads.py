@@ -3,8 +3,11 @@
 Each workload builds its inputs from the seed, records (or reuses) the
 golden, then either measures the end-to-end metrics with tracing off
 (``trace_run=False``) or takes one traced run for the per-layer metrics
-(``trace_run=True``).  Every operation passes through the :class:`Gate`.
-README.md gives each workload's reason and the layer-to-metric table.
+(``trace_run=True``).  Every workload reports every metric of
+:data:`END_TO_END` or of :data:`PER_LAYER`; a per-layer metric of a
+layer the workload does not run reads 0.  Every operation passes
+through the :class:`Gate`.  README.md gives each workload's reason and
+the layer-to-metric table.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
@@ -52,11 +56,36 @@ SMOKE_SIZES = {
     "whatif-service": {"ranks": [16, 32], "iterations": 1},
 }
 
+#: Name and unit of every metric, as BENCHMARK.json lists them.
+#: ``op_s`` is the workload's timed operation: a warm replay, a
+#: diagnosis or a cold what-if job.
+END_TO_END = {"op_s": "s", "setup_s": "s", "peak_rss_mib": "MiB"}
+PER_LAYER = {
+    "ingest.compile_s": "s", "ingest.tic_load_s": "s", "ingest.read_s": "s",
+    "ingest.source_actions": "count", "ingest.ops": "count",
+    "ingest.fusion_ratio": "ratio",
+    "lmm.fill_s": "s", "lmm.fill_calls": "count", "lmm.patch_s": "s",
+    "lmm.patch_calls": "count", "lmm.patch_accept_ratio": "ratio",
+    "lmm.levels_per_solve": "ratio", "lmm.group_size_mean": "count",
+    "engine.self_s": "s", "engine.events": "count",
+    "engine.recomputes": "count", "engine.idle_advances": "count",
+    "engine.us_per_event": "us",
+    "replay.traced_s": "s", "replay.timed_s": "s",
+    "analysis.wait_states_s": "s", "analysis.pairs": "count",
+    "campaign.wall_s": "s", "campaign.utilization": "ratio",
+    "campaign.replays_executed": "count", "campaign.replay_s_sum": "s",
+    "campaign.scenario_overhead_s": "s", "cache.hit_ratio": "ratio",
+    "service.queue_wait_s": "s", "service.staging_s": "s",
+    "service.overhead_s": "s", "service.cached_job_s": "s",
+    "service.cached_overhead_s": "s",
+    "trace.overhead_frac": "ratio",
+}
+
 #: Set-up repetitions per run (``setup_s`` is their median).
 SETUP_REPS = 5
-#: Timed repetitions per fresh child process, and the fewest children.
-CHILD_REPS = 2
-MIN_CHILDREN = 2
+#: Fewest timed repetitions of a run (one fresh process repeats the
+#: operation until ``--seconds`` have passed).
+MIN_REPS = 2
 #: Identical resubmissions per service iteration, and the fewest
 #: iterations (each starts a fresh server for a cold cache).
 CACHED_REPS = 2
@@ -82,26 +111,27 @@ class Context:
     tracer: Tracer
     #: Every sample behind each end-to-end median, for the report.
     samples: Dict[str, List[float]] = field(default_factory=dict)
-    #: Machine-speed probe times of the run (see speed.py), and the
-    #: metrics reported in reference seconds.
+    #: Host seconds behind each reference-second metric, and every
+    #: machine-speed probe time of the run (see speed.py).
+    host: Dict[str, List[float]] = field(default_factory=dict)
     probes: List[float] = field(default_factory=list)
-    normalized: List[str] = field(default_factory=list)
-
-    def probe(self) -> None:
-        self.probes.append(probe())
 
     def measured(self, name: str, values: List[float], unit: str):
         self.samples[name] = list(values)
         return median(values), unit
 
-    def host_time(self, name: str, seconds: List[float]):
-        """A host-time metric, reported in reference seconds."""
-        self.normalized.append(name)
-        return self.measured(name, seconds, "s")
+    def timed(self, name: str, wall: float, before: float,
+              after: float) -> None:
+        """One host-time sample, converted to reference seconds by the
+        probes timed just before and just after it."""
+        self.host.setdefault(name, []).append(wall)
+        self.samples.setdefault(name, []).append(
+            wall * REFERENCE_S / ((before + after) / 2))
+        self.probes += [before, after]
 
-    def speed_factor(self) -> float:
-        """Host seconds to reference seconds, from the run's probes."""
-        return REFERENCE_S / median(self.probes)
+    def reference_time(self, name: str):
+        """The median of the samples of ``timed(name, ...)``."""
+        return median(self.samples.get(name, [])), "s"
 
     @property
     def size(self) -> Dict:
@@ -166,35 +196,44 @@ def _gate_result(ctx: Context, what: str, golden: Dict, result: Dict) -> None:
     ctx.gate.record(what, problems)
 
 
-def _timed_children(ctx: Context, mode: str, trace_dir: str, n_ranks: int,
-                    golden: Dict) -> Tuple[List[float], List[float]]:
-    """Run ``mode`` in fresh processes until ``ctx.seconds`` have passed;
-    returns every repetition's wall time and each process's peak RSS."""
+def _timed_child(ctx: Context, mode: str, trace_dir: str, n_ranks: int,
+                 golden: Dict) -> float:
+    """Repeat ``mode`` in a fresh process for ``ctx.seconds``, recording
+    every repetition as an ``op_s`` sample; returns the process's peak
+    RSS."""
     request = json.dumps({"mode": mode, "trace_dir": trace_dir,
-                          "n_ranks": n_ranks, "reps": CHILD_REPS})
-    walls: List[float] = []
-    rss: List[float] = []
-    spawned = 0
-    deadline = time.perf_counter() + ctx.seconds
-    while time.perf_counter() < deadline or spawned < MIN_CHILDREN:
-        spawned += 1
-        proc = subprocess.run(
-            [sys.executable, os.path.join(HERE, "child.py"), request],
-            capture_output=True, text=True, timeout=170)
-        try:
-            out = json.loads(proc.stdout.strip().splitlines()[-1])
-        except (IndexError, ValueError):
-            ctx.gate.record(f"{mode} process", [
-                f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"])
-            continue
-        for error in out["errors"]:
-            ctx.gate.record(mode, [error])
-        for result in out["results"]:
-            _gate_result(ctx, mode, golden, result)
-        walls += out["walls"]
-        ctx.probes += out["probes"]
-        rss.append(out["peak_rss_mib"])
-    return walls, rss
+                          "n_ranks": n_ranks, "seconds": ctx.seconds,
+                          "min_reps": MIN_REPS})
+    proc = subprocess.run(
+        [sys.executable, os.path.join(HERE, "child.py"), request],
+        capture_output=True, text=True, timeout=170)
+    try:
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(f"{mode} process exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-300:]}") from None
+    for error in out["errors"]:
+        ctx.gate.record(mode, [error])
+    for rep in out["reps"]:
+        _gate_result(ctx, mode, golden, rep["result"])
+        ctx.timed("op_s", rep["wall"], *rep["probes"])
+    return out["peak_rss_mib"]
+
+
+def _timed_setup(ctx: Context, once: Callable[[], float]) -> None:
+    """``SETUP_REPS`` ``setup_s`` samples, each between two probes."""
+    before = probe()
+    for _ in range(SETUP_REPS):
+        wall = once()
+        after = probe()
+        ctx.timed("setup_s", wall, before, after)
+        before = after
+
+
+def _timed_metrics(ctx: Context, rss: float) -> Metrics:
+    return {"op_s": ctx.reference_time("op_s"),
+            "setup_s": ctx.reference_time("setup_s"),
+            "peak_rss_mib": (rss, "MiB")}
 
 
 def replay_workload(ctx: Context, writer) -> Metrics:
@@ -206,14 +245,9 @@ def replay_workload(ctx: Context, writer) -> Metrics:
     golden = ctx.golden(lambda: _replay_golden(trace_dir, n_ranks, n_actions))
     if ctx.trace_run:
         return _traced_replay(ctx, trace_dir, n_ranks, n_actions, golden)
-    setup = []
-    for _ in range(SETUP_REPS):
-        ctx.probe()
-        setup.append(_cold_compile(ctx, trace_dir, n_actions))
-    walls, rss = _timed_children(ctx, "replay", trace_dir, n_ranks, golden)
-    return {"replay_s": ctx.host_time("replay_s", walls),
-            "setup_s": ctx.host_time("setup_s", setup),
-            "peak_rss_mib": ctx.measured("peak_rss_mib", rss, "MiB")}
+    _timed_setup(ctx, lambda: _cold_compile(ctx, trace_dir, n_actions))
+    rss = _timed_child(ctx, "replay", trace_dir, n_ranks, golden)
+    return _timed_metrics(ctx, rss)
 
 
 def _engine_counts(metrics: Dict, n_actions: int) -> Metrics:
@@ -324,19 +358,18 @@ def diagnose_workload(ctx: Context) -> Metrics:
         lambda: _diagnose_golden(trace_dir, n_ranks, n_actions))
     if ctx.trace_run:
         return _traced_diagnose(ctx, trace_dir, n_ranks, n_actions, golden)
-    setup = []
-    for _ in range(SETUP_REPS):
-        ctx.probe()
+
+    def read_once() -> float:
         start = time.perf_counter()
         trace = read_trace_dir(trace_dir)
-        setup.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
         ctx.gate.record("read", [] if trace.n_actions() == n_actions else
                         [f"read {trace.n_actions()} actions"])
-        del trace
-    walls, rss = _timed_children(ctx, "diagnose", trace_dir, n_ranks, golden)
-    return {"diagnose_s": ctx.host_time("diagnose_s", walls),
-            "setup_s": ctx.host_time("setup_s", setup),
-            "peak_rss_mib": ctx.measured("peak_rss_mib", rss, "MiB")}
+        return wall
+
+    _timed_setup(ctx, read_once)
+    rss = _timed_child(ctx, "diagnose", trace_dir, n_ranks, golden)
+    return _timed_metrics(ctx, rss)
 
 
 def _traced_diagnose(ctx: Context, trace_dir: str, n_ranks: int,
@@ -482,17 +515,11 @@ def _cold_layers(doc: Dict, records: List[Dict]) -> Dict[str, float]:
 
 def _cached_layers(doc: Dict) -> Dict[str, float]:
     m = doc["metrics"]
+    split = _job_split(doc)
     return {"cache.hit_ratio": m["cached_hits"] / m["scenarios_total"],
-            "service.cached_overhead_s": _job_split(doc)["overhead"]}
+            "service.cached_job_s": split["job_s"],
+            "service.cached_overhead_s": split["overhead"]}
 
-
-SERVICE_LAYER_UNITS = {
-    "campaign.wall_s": "s", "campaign.utilization": "ratio",
-    "campaign.replays_executed": "count", "campaign.replay_s_sum": "s",
-    "campaign.scenario_overhead_s": "s", "service.queue_wait_s": "s",
-    "service.staging_s": "s", "service.overhead_s": "s",
-    "cache.hit_ratio": "ratio", "service.cached_overhead_s": "s",
-}
 
 
 def _record_job_spans(tracer: Tracer, doc: Dict, records: List[Dict],
@@ -511,13 +538,27 @@ def _record_job_spans(tracer: Tracer, doc: Dict, records: List[Dict],
                    record["finished_at"], running)
 
 
+def _start_stop(ctx: Context) -> float:
+    """Start a server on a fresh root and stop it; returns the seconds
+    until it answered ``/health``."""
+    root = tempfile.mkdtemp(prefix="setup-", dir=ctx.run_dir)
+    service = LocalService(ctx.src_dir, os.path.join(root, "service"),
+                           tick_s=SERVICE_TICK_S)
+    try:
+        return service.start()
+    finally:
+        ctx.gate.record("service start and teardown", service.stop())
+
+
 def service_workload(ctx: Context) -> Metrics:
     size = ctx.size
     spec = whatif_spec(ctx.seed, size["iterations"], size["ranks"],
                        jobs=min(2, os.cpu_count() or 1))
     golden = ctx.golden(lambda: _campaign_golden(spec))
     gate = ctx.gate
-    setup, job_s, cached_s = [], [], []
+    if not ctx.trace_run:
+        _timed_setup(ctx, lambda: _start_stop(ctx))
+    job_s, rss = [], []
     layers: Dict[str, List[float]] = {}
     deadline = time.perf_counter() + ctx.seconds
     iteration = 0
@@ -528,7 +569,7 @@ def service_workload(ctx: Context) -> Metrics:
             ctx.src_dir, os.path.join(ctx.run_dir, f"service-{iteration}"),
             tick_s=SERVICE_TICK_S)
         try:
-            setup.append(service.start())
+            service.start()
             doc, results = service.run_job(spec)
             if not gate.record("cold job",
                                _check_cold_job(doc, results, golden)):
@@ -543,24 +584,24 @@ def service_workload(ctx: Context) -> Metrics:
                 doc, results = service.run_job(spec)
                 if gate.record("cached job",
                                _check_cached_job(doc, results, cold)):
-                    cached_s.append(_job_split(doc)["job_s"])
                     _record_job_spans(ctx.tracer, doc, results["records"],
                                       "cached")
                     for name, value in _cached_layers(doc).items():
                         layers.setdefault(name, []).append(value)
+            rss.append(service.peak_rss_mib())
         except Exception as exc:  # noqa: BLE001 - counted, run continues
             gate.error(f"service iteration {iteration}", exc)
         finally:
             gate.record(f"service teardown {iteration}", service.stop())
     if ctx.trace_run:
-        return {name: (median(values), SERVICE_LAYER_UNITS[name])
+        return {name: (median(values), PER_LAYER[name])
                 for name, values in layers.items()}
-    # Host seconds: jobs run in forked processes on every core and the
-    # cached job mostly waits for the scheduler tick, so a probe timed
-    # in this process does not track them.
-    return {"job_s": ctx.measured("job_s", job_s, "s"),
-            "job_cached_s": ctx.measured("job_cached_s", cached_s, "s"),
-            "setup_s": ctx.measured("setup_s", setup, "s")}
+    # Host seconds: the job runs in forked processes on both cores, and
+    # probes timed in this process around it tracked it worse than no
+    # conversion (ten-seed spread 0.153 converted, 0.050 in host seconds).
+    return {"op_s": ctx.measured("op_s", job_s, "s"),
+            "setup_s": ctx.reference_time("setup_s"),
+            "peak_rss_mib": ctx.measured("peak_rss_mib", rss, "MiB")}
 
 
 def run_workload(ctx: Context) -> Metrics:
