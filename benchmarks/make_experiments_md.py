@@ -83,12 +83,12 @@ replay) is the same one that would apply here.""",
     (
         "Fig. 9 addendum — replay drivers and the incremental solver",
         """The paper's remedy for replay cost, implemented rather than cited:
-trace compilation with compute fusion (`warm`), the certified
-incremental max-min re-solve (`incr`, the default solver), phase
-batching (`batched`), and forked sharded replay (`sharded`), each
+trace compilation with compute fusion and automatic phase batching
+(`warm`), the certified incremental max-min re-solve (`incr`, the
+default solver), and forked sharded replay (`sharded`), each
 measured against the token driver at 256 and 1024 ranks with in-run
 1e-9 equivalence checks.  The incremental column pays on lu-2d's
-multi-level contention waves (2.82x → 3.83x at 1024 ranks) and gates
+multi-level contention waves (2.91x → 4.24x at 1024 ranks) and gates
 itself off on chain-1d's single-level solves; sharding is kept
 honest by the lu-2d counter-example row, where the guard ring
 swallows the bands.""",

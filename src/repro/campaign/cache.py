@@ -44,13 +44,15 @@ __all__ = ["CACHE_FORMAT_VERSION", "canonical_json", "digest_of",
 #: key, so stale-format records can never be served.
 #: v2: fault-injection specs joined the key composition.
 #: v3: ReplaySpec grew the ``compiled`` driver field.
-#: v4: ReplaySpec grew batch_phases/shards/shard_halo, and synthetic
+#: v4: ReplaySpec grew phase batching/shards/shard_halo, and synthetic
 #: trace addresses normalise the seed to 0 when jitter is 0 (the seed
 #: cannot influence a jitter-free trace, so it must not split the key).
 #: v5: TraceSpec grew family/params (AI-workload generators) and the
 #: opcode space grew the allToAll/allGather/reduceScatter/allToAllv
 #: collectives.
-CACHE_FORMAT_VERSION = 5
+#: v6: the exact driver knobs (compiled, shards, shard_halo, lmm_mode)
+#: left the replay address; records carry them as provenance.
+CACHE_FORMAT_VERSION = 6
 
 
 def canonical_json(obj: Any) -> str:

@@ -31,7 +31,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from multiprocessing.connection import wait as conn_wait
 from typing import Callable, Dict, List, Optional
 
@@ -213,7 +213,6 @@ def execute_scenario(sdict: dict) -> dict:
             fault_plan=fault_plan,
             fault_mode=fault_mode,
             compiled=scenario.replay.compiled,
-            batch_phases=scenario.replay.batch_phases,
             shards=scenario.replay.shards,
             shard_halo=scenario.replay.shard_halo,
         )
@@ -277,6 +276,9 @@ def execute_scenario(sdict: dict) -> dict:
         "stage_wait_s": trace.stage_wait_s,
         "worker_wall_seconds": time.perf_counter() - t0,
         "calibration": calib_info,
+        # Provenance: the options that produced this result, including
+        # the exact driver knobs the cache address leaves out.
+        "replay_options": asdict(scenario.replay),
         "metrics": _strip_metrics(result.metrics),
         "fault_report": (result.fault_report.to_dict()
                          if result.fault_report is not None else None),
@@ -285,6 +287,9 @@ def execute_scenario(sdict: dict) -> dict:
 
 def _scenario_worker(conn, sdict: dict) -> None:
     """Process entry point: run, report through the pipe, exit."""
+    # A forked worker inherits the runner's SIGTERM drain handler, which
+    # would turn the timeout's terminate() into a no-op; die instead.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload = execute_scenario(sdict)
         conn.send(("ok", payload))

@@ -273,45 +273,31 @@ class ReplaySpec:
     eager_threshold: float = 65536.0
     lmm_mode: str = "auto"
     collect_metrics: bool = True
-    # Replay driver: "auto" (compile path sources), "always", "never".
-    # Part of the cache address even though compiled and token replays
-    # agree to 1e-9: a cached record must say which driver produced it.
+    # Replay driver ("auto", "always", "never") and sharded parallel
+    # replay.  Exact by construction (compiled and token replays agree
+    # to 1e-9; shards are validated against their band owners), so they
+    # stay out of the cache address; each result records them as
+    # provenance instead.
     compiled: str = "auto"
-    # Event-loop batching and sharded parallel replay (exact, validated
-    # at run time); cache-addressed for the same provenance reason.
-    batch_phases: bool = False
     shards: int = 0
     shard_halo: int = 0
 
     def __post_init__(self) -> None:
-        # Accepts every engine solver mode, including "native" (the
-        # optional Numba kernel) — availability of the extra is checked
-        # at replay construction, not here, so a campaign authored on a
-        # native-capable host still *parses* everywhere.  Deliberately
-        # no new spec field for the incremental toggle: the incremental
-        # patch is certified-identical to the full solve, so it is not
-        # part of a result's address.
-        from ..simkernel.lmm import LMM_MODES
+        from ..core.replay import check_replay_options
 
-        if self.lmm_mode not in LMM_MODES:
-            raise ValueError(
-                f"unknown lmm_mode {self.lmm_mode!r}; use one of "
-                f"{LMM_MODES}"
-            )
-        if self.compiled not in ("auto", "always", "never"):
-            raise ValueError(
-                f"unknown compiled mode {self.compiled!r}; use 'auto', "
-                "'always', or 'never'"
-            )
-        if self.shards < 0 or self.shard_halo < 0:
-            raise ValueError("shards and shard_halo must be >= 0")
+        check_replay_options(self.collectives, self.lmm_mode,
+                             self.compiled, self.shards, self.shard_halo)
 
     def digest_fields(self) -> Dict[str, Any]:
-        # collect_metrics changes what is *recorded*, not the simulated
-        # outcome (telemetry is arithmetic-neutral by design), but a
-        # cached record without metrics should not satisfy a request
-        # that wants them — so it is part of the address.
-        return asdict(self)
+        # The options that change the simulated outcome.  lmm_mode joins
+        # the driver knobs outside the address: every solver mode is
+        # 1e-9-identical to solve_reference, like the incremental patch.
+        # collect_metrics changes what is *recorded*, not the outcome,
+        # but a cached record without metrics should not satisfy a
+        # request that wants them — so it is part of the address.
+        return {"collectives": self.collectives,
+                "eager_threshold": self.eager_threshold,
+                "collect_metrics": self.collect_metrics}
 
 
 @dataclass(frozen=True)

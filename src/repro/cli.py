@@ -29,7 +29,7 @@ from .apps import (
 )
 from .core.acquisition import AcquisitionMode, acquire
 from .core.calibration import calibrate_flop_rate, calibrate_network
-from .core.replay import TraceReplayer
+from .core.replay import COLLECTIVE_ALGORITHMS, TraceReplayer
 from .extract import tau2simgrid
 from .platforms import bordereau, gdx, grid5000
 from .simkernel import (
@@ -37,6 +37,7 @@ from .simkernel import (
     load_deployment,
     load_platform,
 )
+from .simkernel.lmm import LMM_MODES
 from .smpi import round_robin_deployment
 
 _PLATFORMS = {"bordereau": bordereau, "gdx": gdx, "grid5000": grid5000}
@@ -401,17 +402,12 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--ranks", type=int, default=None,
                         help="rank count when no deployment file is given")
     parser.add_argument("--collectives", default="binomial",
-                        choices=["binomial", "flat"])
-    parser.add_argument("--lmm", default="auto",
-                        choices=["auto", "reference", "vectorized",
-                                 "native"],
+                        choices=COLLECTIVE_ALGORITHMS)
+    parser.add_argument("--lmm", default="auto", choices=LMM_MODES,
                         help="max-min solver path: 'auto' vectorizes "
                              "large sharing components, 'reference' "
                              "forces the pure-Python oracle, 'vectorized' "
-                             "forces NumPy, 'native' runs the optional "
-                             "Numba kernel (needs the repro[native] "
-                             "extra; fails fast when it is missing) "
-                             "(default: auto)")
+                             "forces NumPy (default: auto)")
     parser.add_argument("--no-lmm-incremental", dest="lmm_incremental",
                         action="store_false", default=True,
                         help="disable the certified incremental max-min "
@@ -427,11 +423,6 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-compiled", dest="compiled",
                         action="store_const", const="never",
                         help="force the token-stream replay driver")
-    parser.add_argument("--batch-phases", action="store_true",
-                        help="advance synchronizing collectives as one "
-                             "batched dependency graph instead of N "
-                             "per-rank protocols (exact; falls back "
-                             "silently when the replay is not eligible)")
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="replay contiguous rank bands in N forked "
                              "worker processes, merged at collective "
@@ -495,15 +486,13 @@ def main_replay(argv: Optional[List[str]] = None) -> int:
             fault_plan=fault_plan,
             fault_mode=args.fault_mode,
             compiled=args.compiled,
-            batch_phases=args.batch_phases,
             shards=args.shards,
             shard_halo=args.shard_halo,
         )
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         # Option mismatch (checkpoint-restart without a checkpoint
-        # block, --shards with --no-compiled, --lmm native without the
-        # repro[native] extra installed, ...) is an input error, not a
-        # replay failure.
+        # block, --shards with --no-compiled, ...) is an input error,
+        # not a replay failure.
         print(f"bad replay configuration: {exc}", file=sys.stderr)
         return 2
     try:

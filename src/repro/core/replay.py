@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 from ..faults.plan import FaultPlan, LinkDegrade, LinkDown
 from ..faults.report import FaultReport, RankFailure, build_fault_report
 from ..simkernel import CommSystem, DeadlockError, Engine, Host, Platform, Telemetry
+from ..simkernel.lmm import LMM_MODES
 from ..simkernel.pwl import DEFAULT_MPI_MODEL, PiecewiseLinearModel
 from ..smpi import collectives
 from .batch import CollectiveBatcher, batch_eligible
@@ -70,7 +71,51 @@ from .compile import (
 )
 from .trace import InMemoryTrace
 
-__all__ = ["TraceReplayer", "ReplayResult"]
+__all__ = ["TraceReplayer", "ReplayResult", "check_replay_options",
+           "COLLECTIVE_ALGORITHMS", "COMPILED_MODES"]
+
+#: Collective decompositions (``collective_algorithm``, ``--collectives``,
+#: ``ReplaySpec.collectives``).
+COLLECTIVE_ALGORITHMS = ("binomial", "flat")
+#: Replay drivers (``compiled``, ``--compiled/--no-compiled``,
+#: ``ReplaySpec.compiled``): "auto" compiles path sources, "always"
+#: forces compilation, "never" forces the token path.
+COMPILED_MODES = ("auto", "always", "never")
+
+
+def check_replay_options(collectives: str, lmm_mode: str, compiled: str,
+                         shards: int, shard_halo: int,
+                         record_timed_trace: bool = False) -> None:
+    """Raise :class:`ValueError` for an unknown replay option value or a
+    combination the replayer cannot run.  The one validator behind
+    :class:`TraceReplayer`, ``repro-replay`` and campaign ``ReplaySpec``,
+    so a bad option fails where it is written, not inside a worker."""
+    for name, value, allowed in (
+            ("collective algorithm", collectives, COLLECTIVE_ALGORITHMS),
+            ("lmm_mode", lmm_mode, LMM_MODES),
+            ("compiled mode", compiled, COMPILED_MODES)):
+        if value not in allowed:
+            raise ValueError(f"unknown {name} {value!r}; use one of "
+                             f"{allowed}")
+    if shards < 0 or shard_halo < 0:
+        raise ValueError("shards and shard_halo must be >= 0")
+    if shards > 1:
+        if record_timed_trace:
+            raise ValueError(
+                "sharded replay does not record timed traces (the "
+                "compiled driver it builds on refuses them); use "
+                "shards=0 with record_timed_trace"
+            )
+        if compiled == "never":
+            raise ValueError(
+                "sharded replay runs on the compiled driver; "
+                "shards>1 is incompatible with compiled='never'"
+            )
+        if collectives != "binomial":
+            raise ValueError(
+                "sharded replay synchronizes shards at binomial "
+                "collectives; use collective_algorithm='binomial'"
+            )
 
 
 @dataclass
@@ -163,42 +208,14 @@ class TraceReplayer:
         fault_plan: Optional[FaultPlan] = None,
         fault_mode: str = "abort",
         compiled: str = "auto",
-        batch_phases: bool = False,
         shards: int = 0,
         shard_halo: int = 0,
         lmm_incremental: bool = True,
     ) -> None:
         if not deployment:
             raise ValueError("deployment must map at least one rank")
-        if shards < 0 or shard_halo < 0:
-            raise ValueError("shards and shard_halo must be >= 0")
-        if shards > 1:
-            if record_timed_trace:
-                raise ValueError(
-                    "sharded replay does not record timed traces (the "
-                    "compiled driver it builds on refuses them); use "
-                    "shards=0 with record_timed_trace"
-                )
-            if compiled == "never":
-                raise ValueError(
-                    "sharded replay runs on the compiled driver; "
-                    "shards>1 is incompatible with compiled='never'"
-                )
-            if collective_algorithm != "binomial":
-                raise ValueError(
-                    "sharded replay synchronizes shards at binomial "
-                    "collectives; use collective_algorithm='binomial'"
-                )
-        if compiled not in ("auto", "always", "never"):
-            raise ValueError(
-                f"unknown compiled mode {compiled!r}; use 'auto', "
-                "'always', or 'never'"
-            )
-        if collective_algorithm not in ("binomial", "flat"):
-            raise ValueError(
-                f"unknown collective algorithm {collective_algorithm!r}; "
-                "use 'binomial' or 'flat'"
-            )
+        check_replay_options(collective_algorithm, lmm_mode, compiled,
+                             shards, shard_halo, record_timed_trace)
         if fault_mode not in ("abort", "checkpoint-restart"):
             raise ValueError(
                 f"unknown fault mode {fault_mode!r}; use 'abort' or "
@@ -224,12 +241,11 @@ class TraceReplayer:
         # ``lmm_mode`` selects the engine's max-min implementation:
         # "auto" (vectorized above the component-size cutoff),
         # "reference" (the pure-Python oracle), "vectorized" (always
-        # NumPy), "native" (the optional Numba kernel; raises here when
-        # the repro[native] extra is missing).  Exposed as
-        # ``repro-replay --lmm``.  ``lmm_incremental`` gates the
-        # certified incremental patch re-solve of large sharing groups
-        # (on by default; the off switch exists for A/B benchmarking —
-        # results are 1e-9-identical either way by construction).
+        # NumPy).  Exposed as ``repro-replay --lmm``.  ``lmm_incremental``
+        # gates the certified incremental patch re-solve of large sharing
+        # groups (on by default; the off switch exists for A/B
+        # benchmarking — results are 1e-9-identical either way by
+        # construction).
         self.lmm_incremental = bool(lmm_incremental)
         self.engine = Engine(
             metrics=self.telemetry.engine if collect_metrics else None,
@@ -247,18 +263,9 @@ class TraceReplayer:
         self.collective_algorithm = collective_algorithm
         self.record_timed_trace = record_timed_trace
         self.timed_trace: List[tuple] = []
-        # ``compiled`` selects the replay driver: "auto" compiles path
-        # sources (directories, merged files) into columnar op programs
-        # and keeps in-memory traces on the token path; "always" forces
-        # compilation; "never" forces the token path.  Exposed as
-        # ``repro-replay --compiled/--no-compiled``.
+        # ``compiled`` selects the replay driver (see COMPILED_MODES);
+        # "auto" keeps in-memory traces on the token path.
         self.compiled = compiled
-        # Phase batching: advance synchronizing collectives with one
-        # dependency graph instead of per-rank protocol generators (see
-        # repro.core.batch).  Silently inert when the replay is not
-        # eligible (token path, flat collectives, fault plans, folded or
-        # modeled hosts) — eligibility is checked per replay.
-        self.batch_phases = batch_phases
         # Sharded replay: partition ranks into contiguous bands replayed
         # in forked worker processes, synchronized at collectives (see
         # repro.core.shard).  0/1 means in-process replay.  Fault plans
@@ -446,13 +453,14 @@ class TraceReplayer:
         self.engine.deadlock_hook = lambda blocked: self._deadlock_report(
             contexts, blocked
         )
-        # Phase batching only exists on the compiled fault-free path and
-        # only when the batched graph is provably the exact protocol
-        # (see batch_eligible).  Ineligible replays silently run the
-        # per-rank generators — same results, fewer assumptions.
+        # Phase batching: compiled fault-free replays advance their
+        # synchronizing collectives as one dependency graph whenever the
+        # graph is provably the exact protocol (see repro.core.batch).
+        # Ineligible replays run the per-rank generators — same results,
+        # fewer assumptions.
         batcher = None
-        if (self.batch_phases and programs is not None
-                and fault_events is None and batch_eligible(self, n_ranks)):
+        if (programs is not None and fault_events is None
+                and batch_eligible(self, n_ranks)):
             batcher = CollectiveBatcher(
                 self.engine, self.comms.transfer_params, self.deployment,
                 self.comms.eager_threshold,

@@ -38,8 +38,7 @@ from .activity import (
     Activity, ActivityFailed, CommActivity, ExecActivity, Timer, Waitable,
 )
 from .lmm import (
-    Constraint, LMM_MODES, VECTOR_THRESHOLD, fill_vectorized, native_fill,
-    patch_solve,
+    Constraint, LMM_MODES, VECTOR_THRESHOLD, fill_vectorized, patch_solve,
 )
 from .telemetry import EngineMetrics
 
@@ -336,17 +335,7 @@ class Engine:
         # "auto" uses the NumPy filling for components of at least
         # ``vector_threshold`` activities and the pure-Python one below it
         # (small components are faster without array-building overhead);
-        # "reference"/"vectorized" force one path (oracle tests, benches);
-        # "native" runs array-backed groups through the optional Numba
-        # kernel and fails here, loudly, when the extra is missing —
-        # never mid-run, and never on any other mode.
-        if lmm_mode == "native":
-            from . import _native
-            if not _native.available():
-                raise RuntimeError(_native.unavailable_reason())
-            self._fill = native_fill
-        else:
-            self._fill = fill_vectorized
+        # "reference"/"vectorized" force one path (oracle tests, benches).
         self.lmm_mode = lmm_mode
         self.vector_threshold = int(vector_threshold)
         # Incremental certified re-solve of array-backed groups
@@ -789,7 +778,7 @@ class Engine:
             if len(group.cons) == 1:
                 self._rerate_single_constraint(group.cons[0], acts)
                 continue
-            if mode in ("vectorized", "native") or (
+            if mode == "vectorized" or (
                 mode == "auto" and len(acts) >= self.vector_threshold
             ):
                 self._vec_attach(group)
@@ -1073,7 +1062,9 @@ class Engine:
                 group.mem_var[:group.m],
                 group.mem_cons[:group.m],
                 seed_cols,
-                fill=self._fill,
+                # This module's binding, so a wrapper installed on
+                # engine.fill_vectorized also sees the patch sub-solves.
+                fill=fill_vectorized,
             )
             if ok:
                 self._inc_patches += 1
@@ -1089,7 +1080,7 @@ class Engine:
             seeds.clear()
         self._vector_fillings += 1
         self._full_resolves += 1
-        rates, iterations = self._fill(
+        rates, iterations = fill_vectorized(
             group.caps[:group.ncols],
             group.bnd[:n],
             None,  # engine activities are equal-weight

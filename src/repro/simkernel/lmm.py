@@ -17,7 +17,7 @@ rate of a pinned task or a TCP-window limit); bounds are honoured by
 treating them as one-variable constraints.
 
 The solver is re-run from scratch whenever the set of active activities
-changes.  Three implementations coexist:
+changes.  Two implementations coexist:
 
 * :func:`solve_reference` — the original pure-Python progressive-filling
   loop, O(iterations x variables x constraints).  It stays as the
@@ -30,12 +30,8 @@ changes.  Three implementations coexist:
   scan.  Large sharing components (a 1024-rank communication wave over
   a congested backbone) are where this pays; tiny components are faster
   in pure Python, so :func:`solve` switches on :data:`VECTOR_THRESHOLD`.
-* ``fill_native`` (:mod:`repro.simkernel._native`, ``mode="native"``) —
-  the same filling as one Numba-compiled scalar loop.  Strictly
-  optional (the ``repro[native]`` extra); requesting it without a
-  usable numba raises a clear error and nothing else ever imports it.
 
-On top of any full filling, :func:`patch_solve` performs an
+On top of a full filling, :func:`patch_solve` performs an
 *incremental* certified re-solve: given the rate vector of the previous
 solve and the constraints whose membership or capacity changed since,
 it rebuilds only the *affected cone* (variables reachable from the
@@ -69,8 +65,6 @@ __all__ = [
     "solve_reference",
     "fill_vectorized",
     "patch_solve",
-    "native_fill",
-    "native_available",
     "VECTOR_THRESHOLD",
     "LMM_MODES",
 ]
@@ -90,28 +84,11 @@ VECTOR_THRESHOLD = 48
 
 #: Every max-min implementation selector accepted across the stack
 #: (``Engine(lmm_mode=...)``, ``TraceReplayer(lmm_mode=...)``,
-#: ``repro-replay --lmm``, ``ReplaySpec.lmm_mode``).
-LMM_MODES = ("auto", "reference", "vectorized", "native")
-
-
-def native_available() -> bool:
-    """True when the optional Numba filling kernel can be used."""
-    from . import _native
-
-    return _native.available()
-
-
-def native_fill(caps, bounds, weights, var_idx, cons_idx,
-                load=None, work=None):
-    """The Numba-compiled filling (same contract as
-    :func:`fill_vectorized`).  Raises :class:`RuntimeError` with an
-    actionable message when the ``repro[native]`` extra is missing —
-    callers reach this only when ``mode="native"`` was explicitly
-    requested, never from the default paths."""
-    from . import _native
-
-    return _native.fill(caps, bounds, weights, var_idx, cons_idx,
-                        load=load, work=work)
+#: ``repro-replay --lmm``, ``ReplaySpec.lmm_mode``): ``auto`` picks by
+#: component size, ``reference`` forces the pure-Python oracle and
+#: ``vectorized`` forces NumPy (tests use it to reach array-backed
+#: groups at small sizes).
+LMM_MODES = ("auto", "reference", "vectorized")
 
 
 class Constraint:
@@ -210,17 +187,13 @@ def solve(variables: List[Variable], mode: str = "auto") -> None:
 
     ``mode`` selects the implementation: ``"auto"`` (vectorized at or above
     :data:`VECTOR_THRESHOLD` variables), ``"reference"`` (always the
-    pure-Python oracle), ``"vectorized"`` (always NumPy), ``"native"``
-    (the optional Numba kernel; raises a clear error when the
-    ``repro[native]`` extra is unavailable).  All agree to 1e-9 on the
-    resulting rate vector (property-tested).
+    pure-Python oracle) or ``"vectorized"`` (always NumPy).  All agree
+    to 1e-9 on the resulting rate vector (property-tested).
     """
     if mode == "reference":
         solve_reference(variables)
     elif mode == "vectorized":
         _solve_vectorized(variables)
-    elif mode == "native":
-        _solve_vectorized(variables, fill=native_fill)
     elif mode == "auto":
         if len(variables) >= VECTOR_THRESHOLD:
             _solve_vectorized(variables)
@@ -228,8 +201,7 @@ def solve(variables: List[Variable], mode: str = "auto") -> None:
             solve_reference(variables)
     else:
         raise ValueError(
-            f"unknown solve mode {mode!r}; use 'auto', 'reference', "
-            "'vectorized' or 'native'"
+            f"unknown solve mode {mode!r}; use one of {LMM_MODES}"
         )
 
 
@@ -442,8 +414,7 @@ def fill_vectorized(
     return rates, iterations
 
 
-def _solve_vectorized(variables: Sequence[Variable],
-                      fill=None) -> None:
+def _solve_vectorized(variables: Sequence[Variable]) -> None:
     """NumPy path of :func:`solve`: build arrays, fill, write back."""
     solved: List[Variable] = []
     bounds: List[float] = []
@@ -472,9 +443,7 @@ def _solve_vectorized(variables: Sequence[Variable],
             cons_idx.append(j)
     if not solved:
         return
-    if fill is None:
-        fill = fill_vectorized
-    rates, _ = fill(
+    rates, _ = fill_vectorized(
         np.asarray(caps, dtype=float),
         np.asarray(bounds, dtype=float),
         np.asarray(weights, dtype=float),

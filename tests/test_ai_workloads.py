@@ -188,10 +188,8 @@ def test_family_replays_identically_across_drivers(family, extra, tmp_path):
     assert os.path.exists(tic_path_for(
         os.path.join(str(text_dir), trace_file_name(0))))
     compiled_warm = replay_dir(str(text_dir), n, compiled="always")
-    batched = replay_dir(str(text_dir), n, compiled="always",
-                         batch_phases=True)
 
-    for other in (token_bin, compiled_cold, compiled_warm, batched):
+    for other in (token_bin, compiled_cold, compiled_warm):
         assert_same_makespan(token_text, other)
     assert token_text.simulated_time > 0.0
 
@@ -227,9 +225,8 @@ def test_property_roundtrip_generator_to_replay(family, n_ranks, steps,
     token_bin = replay_dir(str(bin_dir), n_ranks, compiled="never")
     compiled_cold = replay_dir(str(bin_dir), n_ranks, compiled="always")
     compiled_warm = replay_dir(str(bin_dir), n_ranks, compiled="always")
-    batched = replay_dir(str(text_dir), n_ranks, compiled="always",
-                         batch_phases=True)
-    for other in (token_bin, compiled_cold, compiled_warm, batched):
+    compiled_text = replay_dir(str(text_dir), n_ranks, compiled="always")
+    for other in (token_bin, compiled_cold, compiled_warm, compiled_text):
         assert_same_makespan(token, other)
 
 
@@ -336,9 +333,8 @@ def test_batched_replay_of_mixed_new_collectives_is_exact(tmp_path):
                 f"p{rank} barrier\n"
                 f"p{rank} reduceScatter 8192 1e5\n"
                 f"p{rank} allReduce 1024 0\n")
-    sequential = replay_dir(str(tmp_path), n, compiled="always")
-    batched = replay_dir(str(tmp_path), n, compiled="always",
-                         batch_phases=True)
+    sequential = replay_dir(str(tmp_path), n, compiled="never")
+    batched = replay_dir(str(tmp_path), n, compiled="always")
     assert_same_makespan(sequential, batched)
 
 

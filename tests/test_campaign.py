@@ -3,6 +3,7 @@ fleet (retries, timeouts, graceful failure), and the CLI."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_bad_kinds_and_names_rejected():
         Scenario(name="a/b", ranks=4)
     with pytest.raises(ValueError, match="duplicate"):
         CampaignSpec(name="c", scenarios=[lu_scenario(), lu_scenario()])
+
+
+@pytest.mark.parametrize("replay", [
+    {"collectives": "flatt"},
+    {"shards": 2, "compiled": "never"},
+    {"shards": 2, "collectives": "flat"},
+])
+def test_bad_replay_options_fail_when_the_spec_loads(replay):
+    doc = {"name": "bad", "scenarios": [dict(lu_scenario().to_dict(),
+                                             replay=replay)]}
+    with pytest.raises(ValueError):
+        CampaignSpec.from_dict(doc)
 
 
 def test_expand_grid_cross_product():
@@ -145,6 +158,30 @@ def test_cache_key_busted_by_replay_options_and_ranks():
     wider = lu_scenario(ranks=8)
     keys = {scenario_cache_key(s) for s in (base, flat, wider)}
     assert len(keys) == 3
+
+
+def test_exact_solver_and_shard_options_share_one_cache_key():
+    # Exact knobs (1e-9-identical results) do not split the cache; the
+    # compiled driver's share is checked in test_compile.
+    keys = {scenario_cache_key(lu_scenario(replay=ReplaySpec(**kw)))
+            for kw in ({}, {"shards": 2, "shard_halo": 3},
+                       {"lmm_mode": "reference"})}
+    assert len(keys) == 1
+
+
+def test_cache_hit_carries_the_producing_driver_as_provenance(tmp_path):
+    token = lu_scenario("token", replay=ReplaySpec(compiled="never"))
+    compiled = lu_scenario("compiled", replay=ReplaySpec(compiled="always"))
+    cache_dir = str(tmp_path / "cache")
+    first = run_campaign(CampaignSpec(name="t", scenarios=[token]),
+                         str(tmp_path / "a"), cache_dir=cache_dir, log=None)
+    second = run_campaign(CampaignSpec(name="c", scenarios=[compiled]),
+                          str(tmp_path / "b"), cache_dir=cache_dir, log=None)
+    assert second.metrics.cached_hits == 1
+    assert second.metrics.replays_executed == 0
+    served = second.records["compiled"].result
+    assert served == first.records["token"].result
+    assert served["replay_options"]["compiled"] == "never"
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +322,10 @@ def test_campaign_timeout_retry_reason_is_recorded(tmp_path):
                             "stuck", 2,
                             trace=TraceSpec(kind="sleep", seconds=30.0),
                             timeout_s=0.3, max_retries=1)])
+    start = time.monotonic()
     result = run_campaign(spec, str(tmp_path / "camp"))
+    # Two 0.3 s attempts plus one backoff, far below the 30 s sleep.
+    assert time.monotonic() - start < 10.0
     record = result.records["stuck"]
     assert record.status == "timeout"
     assert [h["status"] for h in record.retry_history] == \
@@ -323,7 +363,10 @@ def test_campaign_times_out_a_hung_scenario(tmp_path):
     spec = CampaignSpec(name="hang", jobs=1, scenarios=[Scenario(
         "stuck", 2, trace=TraceSpec(kind="sleep", seconds=30.0),
         timeout_s=0.3, max_retries=0)])
+    start = time.monotonic()
     result = run_campaign(spec, str(tmp_path / "camp"))
+    # The timeout must stop the worker, not wait out its 30 s sleep.
+    assert time.monotonic() - start < 10.0
     assert result.records["stuck"].status == "timeout"
     assert result.metrics.timeouts == 1
 

@@ -309,3 +309,18 @@ def test_cli_replay_bad_fault_plan_exits_2(tmp_path, capsys):
                       "--ranks", "1", "--faults", str(plan_path),
                       "--fault-mode", "checkpoint-restart"])
     assert rc == 2
+
+
+def test_cli_replay_bad_option_combination_exits_2(tmp_path, capsys):
+    from repro.platforms import bordereau
+    from repro.simkernel import dump_platform
+
+    trace_dir = tmp_path / "t"
+    trace_dir.mkdir()
+    (trace_dir / "SG_process0.trace").write_text("p0 compute 10\n")
+    platform_xml = str(tmp_path / "p.xml")
+    dump_platform(bordereau(n_hosts=2, ground_truth=False), platform_xml)
+    rc = main_replay([str(trace_dir), "--platform-xml", platform_xml,
+                      "--ranks", "1", "--shards", "2", "--no-compiled"])
+    assert rc == 2
+    assert "bad replay configuration" in capsys.readouterr().err

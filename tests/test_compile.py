@@ -126,6 +126,30 @@ def test_compiled_matches_token_both_collective_algorithms(mixed_dir,
     assert_equivalent(token, comp)
 
 
+def test_flat_allgather_and_reducescatter_match_across_drivers(tmp_path):
+    # The flat decompositions of the two gather/scatter collectives, on
+    # both drivers, with eager and rendezvous volumes.
+    directory = str(tmp_path / "ti")
+    os.makedirs(directory)
+    for rank in range(4):
+        with open(os.path.join(directory, trace_file_name(rank)), "w",
+                  encoding="ascii") as handle:
+            handle.write("".join(f"p{rank} {line}\n" for line in (
+                "comm_size 4", f"compute {1e7 * (rank + 1)}",
+                "allGather 2048", f"reduceScatter {RENDEZVOUS} 1e5",
+                f"allGather {RENDEZVOUS}", "reduceScatter 4096 0")))
+    results = {}
+    for collectives in ("binomial", "flat"):
+        token = replay_dir(directory, collective_algorithm=collectives,
+                           compiled="never")
+        comp = replay_dir(directory, collective_algorithm=collectives,
+                          compiled="always")
+        assert_equivalent(token, comp)
+        results[collectives] = token.simulated_time
+    # The flat trees are a different protocol, not an alias of binomial.
+    assert results["flat"] != results["binomial"]
+
+
 def test_compiled_matches_token_merged_file(mixed_dir, tmp_path):
     # Interleave round-robin so the demux buffers stay small.
     merged = str(tmp_path / "merged.trace")
@@ -351,11 +375,16 @@ def test_tic_sidecars_do_not_bust_the_campaign_key(mixed_dir):
     assert scenario_cache_key(scenario) != key_before
 
 
-def test_replay_compiled_option_is_part_of_the_key(mixed_dir):
+def test_replay_compiled_option_stays_out_of_the_key(mixed_dir):
+    # Token and compiled replays agree to 1e-9: the driver is provenance
+    # (recorded in the result), not part of the result's address.
     keys = {scenario_cache_key(dir_scenario(
         mixed_dir, replay=ReplaySpec(compiled=mode)))
         for mode in ("auto", "always", "never")}
-    assert len(keys) == 3
+    assert len(keys) == 1
+    # An option that changes the outcome still misses.
+    assert scenario_cache_key(dir_scenario(
+        mixed_dir, replay=ReplaySpec(collectives="flat"))) not in keys
     with pytest.raises(ValueError, match="compiled"):
         ReplaySpec(compiled="sometimes")
 

@@ -1,9 +1,10 @@
 """Cross-driver equivalence for the parallel replay paths.
 
-Phase batching (one dependency graph per synchronizing collective) and
-sharded replay (contiguous rank bands in forked workers) are exactness
-features, not approximations: both must reproduce the sequential
-compiled driver to 1e-9 — makespan, per-rank times, and the replay
+Phase batching (one dependency graph per synchronizing collective,
+automatic on the compiled driver) and sharded replay (contiguous rank
+bands in forked workers) are exactness features, not approximations:
+batching must reproduce the token driver, and sharding the in-process
+compiled driver, to 1e-9 — makespan, per-rank times, and the replay
 metrics counters — across lmm modes.  Fault plans force the sequential
 path, and the fault reports must stay byte-identical.
 """
@@ -150,21 +151,24 @@ def collective_heavy_programs(draw):
 @given(program=collective_heavy_programs(),
        lmm_mode=st.sampled_from(["auto", "reference", "vectorized"]))
 def test_batched_matches_sequential_compiled(program, lmm_mode):
+    # The compiled driver batches every eligible replay; the token
+    # driver runs the per-rank protocol generators and is the reference.
     n_ranks, lines = program
     with tempfile.TemporaryDirectory() as directory:
         write_dir(directory, lines)
         results = {}
-        for batch in (False, True):
+        for compiled in ("never", "always"):
             platform = shared_platform(n_ranks)
             replayer = make_replayer(platform, n_ranks, lmm_mode=lmm_mode,
-                                     compiled="always", batch_phases=batch)
-            results[batch] = replayer.replay(directory)
-        assert_equivalent(results[False], results[True])
-        assert_counters_match(results[False], results[True])
+                                     compiled=compiled)
+            results[compiled] = replayer.replay(directory)
+        assert_equivalent(results["never"], results["always"])
+        assert_counters_match(results["never"], results["always"])
         n_sync = sum(1 for line in lines[0]
                      if " allReduce " in line or line.endswith(" barrier"))
-        assert results[False].metrics["replay"]["phase_advances"] == 0
-        assert results[True].metrics["replay"]["phase_advances"] == n_sync
+        assert results["never"].metrics["replay"]["phase_advances"] == 0
+        assert results["always"].metrics["replay"]["phase_advances"] == \
+            n_sync
 
 
 def test_batching_ineligible_host_models_falls_back_silently(tmp_path):
@@ -174,8 +178,7 @@ def test_batching_ineligible_host_models_falls_back_silently(tmp_path):
     platform = shared_platform(4)
     for host in platform.host_list():
         host.efficiency_model = lambda kind, amount: 1.0
-    replayer = make_replayer(platform, 4, compiled="always",
-                             batch_phases=True)
+    replayer = make_replayer(platform, 4, compiled="always")
     reference = make_replayer(shared_platform(4), 4, compiled="always")
     batched = replayer.replay(str(tmp_path))
     assert batched.metrics["replay"]["phase_advances"] == 0
@@ -213,7 +216,7 @@ def test_sharded_composes_with_phase_batching(tmp_path):
     lu_dir(str(tmp_path), 16, 4, 2)
     sequential = make_replayer(fatpipe_platform(16), 16, compiled="always")
     both = make_replayer(fatpipe_platform(16), 16, compiled="always",
-                         shards=4, batch_phases=True)
+                         shards=4)
     assert_equivalent(sequential.replay(str(tmp_path)),
                       both.replay(str(tmp_path)))
 
